@@ -1,37 +1,16 @@
-//! # wtm-bench — Criterion benchmarks, one group per paper figure
+//! # wtm-bench — the microbenchmark ledger of the STM stack
 //!
-//! The benches live in `benches/`:
+//! One probe, `examples/scaling_probe.rs`, times every microbenchmark
+//! through [`sweep::run_paired_sweep`] and writes the `BENCH.json` ledger:
+//! L0 primitives, L1 engine operations, L2 contention-manager and window
+//! hooks, and L3 one workload transaction, each across a thread sweep.
 //!
-//! * `fig2_window_variants` — throughput of the five window variants.
-//! * `fig3_vs_classic` — best window variants vs Polka/Greedy/Priority.
-//! * `fig4_aborts_per_commit` — abort ratios (reported via
-//!   `iter_custom`-measured runs; the ratio is printed per sample).
-//! * `fig5_time_to_commit` — time to commit a fixed transaction budget at
-//!   three contention levels.
-//! * `theory_makespan` — simulator makespans (Offline/Online vs one-shot).
-//! * `ablation_window` — window design-choice ablations (frame factor,
-//!   window width, static vs dynamic frames, contention-estimate
-//!   sensitivity).
-//! * `stm_primitives` — microbenchmarks of the engine itself (read, write,
-//!   commit, conflict resolution).
+//! ```text
+//! cargo run --release -p wtm-bench --example scaling_probe -- \
+//!     --thread-sweep 1,2 --pairs 5 --out BENCH.json
+//! ```
 //!
-//! Run `cargo bench` at the workspace root; each bench uses small
-//! parameters so a full pass stays in the minutes range.
+//! Paper figures come from the `windowtm` CLI, end-to-end numbers from
+//! `perfbench/`.
 
 pub mod sweep;
-
-/// Benchmark-scale parameters shared by the bench targets (kept tiny so
-/// `cargo bench` terminates quickly; the `windowtm` CLI is the tool for
-/// full-scale figure regeneration).
-pub mod scale {
-    use std::time::Duration;
-
-    /// Threads used by figure-shaped benches.
-    pub const THREADS: usize = 4;
-    /// Window width `N`.
-    pub const WINDOW_N: usize = 16;
-    /// Timed-run interval per measured iteration.
-    pub const RUN_INTERVAL: Duration = Duration::from_millis(60);
-    /// Transaction budget for fig5-shaped benches.
-    pub const BUDGET: u64 = 400;
-}

@@ -79,7 +79,7 @@ fn list_registered() {
     println!("  window-based: {}", wtm_window::window_names().join(", "));
     println!(
         "  classic:      {}",
-        wtm_managers::classic_names().join(", ")
+        wtm_stm::managers::classic_names().join(", ")
     );
     println!(
         "\nwindow managers accept parameter suffixes: \

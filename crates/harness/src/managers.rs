@@ -53,7 +53,7 @@ impl BuiltManager {
 /// first (Fig. 2 order), then the classic managers.
 pub fn all_manager_names() -> Vec<&'static str> {
     let mut v = wtm_window::window_names();
-    v.extend_from_slice(wtm_managers::classic_names());
+    v.extend_from_slice(wtm_stm::managers::classic_names());
     v
 }
 
@@ -155,18 +155,35 @@ fn parse_name(name: &str) -> Result<ParsedName<'_>, String> {
             }
         };
         let bad_value = |e: &dyn std::fmt::Display| format!("invalid value for `{k}`: {e} (`{v}`)");
+        // Out-of-range values are rejected here rather than clamped or
+        // asserted downstream: `n=0` would panic in `WindowConfig::new`,
+        // and a non-positive or non-finite `phi`/`c` would silently
+        // collapse the frame length to its 1 ns floor.
+        let in_range = |ok: bool, want: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(bad_value(&format_args!("must be {want}")))
+            }
+        };
         match k {
             "phi" => {
                 duplicate(parsed.phi.is_some())?;
-                parsed.phi = Some(v.parse().map_err(|e| bad_value(&e))?);
+                let phi: f64 = v.parse().map_err(|e| bad_value(&e))?;
+                in_range(phi.is_finite() && phi > 0.0, "finite and > 0")?;
+                parsed.phi = Some(phi);
             }
             "c" => {
                 duplicate(parsed.c_init.is_some())?;
-                parsed.c_init = Some(v.parse().map_err(|e| bad_value(&e))?);
+                let c: f64 = v.parse().map_err(|e| bad_value(&e))?;
+                in_range(c.is_finite(), "finite")?;
+                parsed.c_init = Some(c);
             }
             "n" => {
                 duplicate(parsed.window_n.is_some())?;
-                parsed.window_n = Some(v.parse().map_err(|e| bad_value(&e))?);
+                let n: usize = v.parse().map_err(|e| bad_value(&e))?;
+                in_range(n >= 1, "at least 1")?;
+                parsed.window_n = Some(n);
             }
             _ => return Err(format!("unknown parameter key `{k}`")),
         }
@@ -193,7 +210,7 @@ pub fn build_manager(
         // A malformed suffix on an unknown base is still reported as an
         // unknown name if the base itself doesn't exist.
         let base = name.split_once('@').map_or(name, |(b, _)| b);
-        if wtm_managers::make_dispatch(base, threads).is_some()
+        if wtm_stm::managers::make_dispatch(base, threads).is_some()
             || wtm_window::window_names().contains(&base)
         {
             BuildError::BadParams {
@@ -204,7 +221,7 @@ pub fn build_manager(
             BuildError::UnknownName(base.to_string())
         }
     })?;
-    if let Some(cm) = wtm_managers::make_dispatch(parsed.base, threads) {
+    if let Some(cm) = wtm_stm::managers::make_dispatch(parsed.base, threads) {
         if parsed.has_params() {
             return Err(BuildError::BadParams {
                 name: name.to_string(),
@@ -299,6 +316,14 @@ mod tests {
             "Online-Dynamic@phi=abc",
             "Online-Dynamic@bogus=1",
             "Polka@phi=2", // classic managers take no window parameters
+            // Out-of-range window knobs (see `parse_name`).
+            "Online-Dynamic@n=0",
+            "Online-Dynamic@phi=-3",
+            "Online-Dynamic@phi=0",
+            "Online-Dynamic@phi=NaN",
+            "Online-Dynamic@phi=inf",
+            "Online-Dynamic@c=inf",
+            "Online-Dynamic@c=NaN",
         ] {
             match build_manager(name, 2, 8, 1) {
                 Err(BuildError::BadParams { name: n, .. }) => assert_eq!(n, name),

@@ -16,12 +16,9 @@
 //!   bound `τ·max(N, clique)` (Theorems 2.2/2.4 predict growth roughly
 //!   linear in `s`... bounded by `O(s + log MN)`).
 
+use wtm_sim::build_sim_scheduler;
 use wtm_sim::engine::{simulate, SimConfig};
 use wtm_sim::graph::ConflictGraph;
-use wtm_sim::sched::{
-    FreeRandomizedScheduler, GreedyTimestampScheduler, OfflineWindowScheduler, OneShotScheduler,
-    OnlineWindowScheduler, PolkaProgressScheduler, WindowMode,
-};
 
 use crate::preset::Preset;
 use crate::report::Table;
@@ -29,80 +26,31 @@ use crate::report::Table;
 const TAU: u32 = 4;
 const SEEDS: [u64; 3] = [11, 29, 47];
 
-fn mean_makespan(
-    graph: &ConflictGraph,
-    cfg: &SimConfig,
-    mk: impl Fn(u64) -> Box<dyn wtm_sim::sched::SimScheduler>,
-) -> f64 {
+/// Mean makespan over [`SEEDS`] of the scheduler registered under
+/// `scheduler` (see [`wtm_sim::SIM_SCHEDULER_NAMES`]).
+fn mean_makespan(graph: &ConflictGraph, cfg: &SimConfig, scheduler: &str) -> f64 {
     let mut total = 0.0;
     for seed in SEEDS {
-        let mut s = mk(seed);
+        let mut s = build_sim_scheduler(scheduler, cfg, graph, seed)
+            .unwrap_or_else(|e| panic!("theory scheduler: {e}"));
         let out = simulate(graph, cfg, s.as_mut());
-        assert!(out.all_committed, "{} did not finish", s.name());
+        assert!(out.all_committed, "{scheduler} did not finish");
         total += out.makespan as f64;
     }
     total / SEEDS.len() as f64
 }
 
-/// Seed → boxed scheduler constructor.
-type SchedulerCtor<'a> = Box<dyn Fn(u64) -> Box<dyn wtm_sim::sched::SimScheduler> + 'a>;
-
-/// All scheduler constructors used by the theory tables.
-fn schedulers<'a>(
-    cfg: &'a SimConfig,
-    graph: &'a ConflictGraph,
-) -> Vec<(&'static str, SchedulerCtor<'a>)> {
-    vec![
-        (
-            "Offline",
-            Box::new(move |s| Box::new(OfflineWindowScheduler::new(cfg, graph, s))),
-        ),
-        (
-            "Online",
-            Box::new(move |s| {
-                Box::new(OnlineWindowScheduler::new(
-                    cfg,
-                    graph,
-                    WindowMode::Static,
-                    s,
-                ))
-            }),
-        ),
-        (
-            "Online-Dynamic",
-            Box::new(move |s| {
-                Box::new(OnlineWindowScheduler::new(
-                    cfg,
-                    graph,
-                    WindowMode::Dynamic,
-                    s,
-                ))
-            }),
-        ),
-        (
-            "Adaptive",
-            Box::new(move |s| {
-                Box::new(OnlineWindowScheduler::adaptive(cfg, WindowMode::Dynamic, s))
-            }),
-        ),
-        (
-            "OneShot",
-            Box::new(move |s| Box::new(OneShotScheduler::new(cfg, s))),
-        ),
-        (
-            "Greedy",
-            Box::new(move |_| Box::new(GreedyTimestampScheduler::new(cfg))),
-        ),
-        (
-            "Polka",
-            Box::new(move |s| Box::new(PolkaProgressScheduler::new(cfg, s))),
-        ),
-        (
-            "RandomizedRounds",
-            Box::new(move |s| Box::new(FreeRandomizedScheduler::new(cfg, s))),
-        ),
-    ]
-}
+/// T1 columns, in report order (Offline first: the bound ratio uses it).
+const T1_SCHEDULERS: [&str; 8] = [
+    "Offline",
+    "Online",
+    "Online-Dynamic",
+    "Adaptive-Dynamic",
+    "OneShot",
+    "Greedy",
+    "Polka",
+    "RandomizedRounds",
+];
 
 /// T1: makespan vs `N` on complete columns; plus the Theorem 2.1 reference
 /// and the Offline/reference ratio.
@@ -117,16 +65,7 @@ pub fn t1_makespan_scaling(preset: &Preset) -> Table {
     .into_iter()
     .filter(|&n| n >= 2)
     .collect();
-    let mut cols: Vec<String> = vec![
-        "Offline".into(),
-        "Online".into(),
-        "Online-Dynamic".into(),
-        "Adaptive".into(),
-        "OneShot".into(),
-        "Greedy".into(),
-        "Polka".into(),
-        "RandomizedRounds".into(),
-    ];
+    let mut cols: Vec<String> = T1_SCHEDULERS.iter().map(|s| s.to_string()).collect();
     cols.push("bound τ(C+N·lnMN)".into());
     cols.push("Offline/bound".into());
     let mut t = Table::new(
@@ -137,10 +76,10 @@ pub fn t1_makespan_scaling(preset: &Preset) -> Table {
     for n in n_sweep {
         let graph = ConflictGraph::complete_columns(m, n);
         let cfg = SimConfig::new(m, n, TAU);
-        let mut row = Vec::new();
-        for (_, mk) in schedulers(&cfg, &graph) {
-            row.push(mean_makespan(&graph, &cfg, |s| mk(s)));
-        }
+        let mut row: Vec<f64> = T1_SCHEDULERS
+            .iter()
+            .map(|name| mean_makespan(&graph, &cfg, name))
+            .collect();
         let c = graph.contention() as f64;
         let bound = TAU as f64 * (c + n as f64 * cfg.ln_mn());
         let offline = row[0];
@@ -166,35 +105,18 @@ pub fn t2_window_vs_oneshot(preset: &Preset) -> Table {
             "OneShot".into(),
             "Offline/OneShot".into(),
             "Online-Dynamic/OneShot".into(),
-            "Adaptive/OneShot".into(),
+            "Adaptive-Dynamic/OneShot".into(),
             "Greedy/OneShot".into(),
         ],
     );
     for m in m_sweep {
         let graph = ConflictGraph::clustered(m, n, 0.9, 0.05, 1234 + m as u64);
         let cfg = SimConfig::new(m, n, TAU);
-        let one = mean_makespan(&graph, &cfg, |s| Box::new(OneShotScheduler::new(&cfg, s)));
-        let off = mean_makespan(&graph, &cfg, |s| {
-            Box::new(OfflineWindowScheduler::new(&cfg, &graph, s))
-        });
-        let dynw = mean_makespan(&graph, &cfg, |s| {
-            Box::new(OnlineWindowScheduler::new(
-                &cfg,
-                &graph,
-                WindowMode::Dynamic,
-                s,
-            ))
-        });
-        let ada = mean_makespan(&graph, &cfg, |s| {
-            Box::new(OnlineWindowScheduler::adaptive(
-                &cfg,
-                WindowMode::Dynamic,
-                s,
-            ))
-        });
-        let gre = mean_makespan(&graph, &cfg, |_| {
-            Box::new(GreedyTimestampScheduler::new(&cfg))
-        });
+        let one = mean_makespan(&graph, &cfg, "OneShot");
+        let off = mean_makespan(&graph, &cfg, "Offline");
+        let dynw = mean_makespan(&graph, &cfg, "Online-Dynamic");
+        let ada = mean_makespan(&graph, &cfg, "Adaptive-Dynamic");
+        let gre = mean_makespan(&graph, &cfg, "Greedy");
         t.push_row(
             m.to_string(),
             vec![one, off / one, dynw / one, ada / one, gre / one],
@@ -222,18 +144,9 @@ pub fn t3_competitive_vs_s(preset: &Preset) -> Table {
         let graph = ConflictGraph::from_resources(m, n, s_resources, 4, 0.5, 777);
         let cfg = SimConfig::new(m, n, TAU);
         let lb = (TAU as f64) * (n.max(graph.column_clique_bound()) as f64);
-        let off = mean_makespan(&graph, &cfg, |sd| {
-            Box::new(OfflineWindowScheduler::new(&cfg, &graph, sd))
-        });
-        let dynw = mean_makespan(&graph, &cfg, |sd| {
-            Box::new(OnlineWindowScheduler::new(
-                &cfg,
-                &graph,
-                WindowMode::Dynamic,
-                sd,
-            ))
-        });
-        let one = mean_makespan(&graph, &cfg, |sd| Box::new(OneShotScheduler::new(&cfg, sd)));
+        let off = mean_makespan(&graph, &cfg, "Offline");
+        let dynw = mean_makespan(&graph, &cfg, "Online-Dynamic");
+        let one = mean_makespan(&graph, &cfg, "OneShot");
         t.push_row(
             s_resources.to_string(),
             vec![graph.contention() as f64, off / lb, dynw / lb, one / lb],

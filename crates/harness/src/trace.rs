@@ -17,12 +17,9 @@
 //! benchmarks the footprint is the search path, which depends only weakly
 //! on interleaving at 50% occupancy.
 
+use wtm_sim::build_sim_scheduler;
 use wtm_sim::engine::{simulate, SimConfig};
 use wtm_sim::graph::ConflictGraph;
-use wtm_sim::sched::{
-    FreeRandomizedScheduler, GreedyTimestampScheduler, OfflineWindowScheduler, OneShotScheduler,
-    OnlineWindowScheduler, PolkaProgressScheduler, SimScheduler, WindowMode,
-};
 use wtm_stm::CmDispatch;
 use wtm_stm::Stm;
 use wtm_workloads::{build_workload, paper_workload_names, WorkloadParams};
@@ -58,37 +55,18 @@ pub fn capture_window_graph(workload: &str, m: usize, n: usize, seed: u64) -> Co
     ConflictGraph::from_footprints(m, n, &footprints)
 }
 
-/// Schedulers compared on each trace, in report order.
-fn trace_schedulers<'a>(
-    cfg: &'a SimConfig,
-    graph: &'a ConflictGraph,
-    seed: u64,
-) -> Vec<Box<dyn SimScheduler + 'a>> {
-    vec![
-        Box::new(OneShotScheduler::new(cfg, seed)),
-        Box::new(GreedyTimestampScheduler::new(cfg)),
-        Box::new(PolkaProgressScheduler::new(cfg, seed)),
-        Box::new(FreeRandomizedScheduler::new(cfg, seed)),
-        Box::new(OnlineWindowScheduler::new(
-            cfg,
-            graph,
-            WindowMode::Static,
-            seed,
-        )),
-        Box::new(OnlineWindowScheduler::new(
-            cfg,
-            graph,
-            WindowMode::Dynamic,
-            seed,
-        )),
-        Box::new(OnlineWindowScheduler::adaptive(
-            cfg,
-            WindowMode::Dynamic,
-            seed,
-        )),
-        Box::new(OfflineWindowScheduler::new(cfg, graph, seed)),
-    ]
-}
+/// Schedulers compared on each trace, in report order (registry names,
+/// see [`wtm_sim::SIM_SCHEDULER_NAMES`]).
+const TRACE_SCHEDULERS: [&str; 8] = [
+    "OneShot",
+    "Greedy",
+    "Polka",
+    "RandomizedRounds",
+    "Online",
+    "Online-Dynamic",
+    "Adaptive-Dynamic",
+    "Offline",
+];
 
 /// T4: trace-driven simulated comparison — one table per benchmark.
 /// Columns: makespan (steps), speed-up over the one-shot baseline, and
@@ -116,8 +94,9 @@ pub fn trace_tables(preset: &Preset) -> Vec<Table> {
             ],
         );
         let mut oneshot = f64::NAN;
-        for mut sched in trace_schedulers(&cfg, &graph, 99) {
-            let name = sched.name().to_string();
+        for name in TRACE_SCHEDULERS {
+            let mut sched = build_sim_scheduler(name, &cfg, &graph, 99)
+                .unwrap_or_else(|e| panic!("trace scheduler: {e}"));
             let out = simulate(&graph, &cfg, sched.as_mut());
             assert!(out.all_committed, "{name} incomplete on {workload}");
             let makespan = out.makespan as f64;
